@@ -3,7 +3,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use fba_samplers::GString;
-use fba_sim::{run_inspect, Adversary, EngineConfig, NodeId, RunOutcome};
+use fba_sim::{run_observed, Adversary, EngineConfig, FinalInspect, NodeId, RunOutcome};
 
 use crate::precondition::Precondition;
 use crate::protocol::{AeConfig, AeMsg, AeNode};
@@ -95,7 +95,7 @@ where
 {
     let engine = ae_engine(cfg);
     let mut committees: BTreeMap<Vec<NodeId>, usize> = BTreeMap::new();
-    let run = run_inspect::<AeNode, A, _, _>(
+    let run = run_observed::<AeNode, A, _, _>(
         &engine,
         seed,
         adversary,
@@ -106,11 +106,11 @@ where
                 AeNode::new(*cfg, id)
             }
         },
-        |_, node| {
+        &mut FinalInspect(|_, node: &AeNode| {
             if let Some(c) = node.supreme_committee() {
                 *committees.entry(c).or_default() += 1;
             }
-        },
+        }),
     );
     let supreme_committee = committees
         .into_iter()

@@ -55,15 +55,22 @@ pub struct AeConfig {
 }
 
 impl AeConfig {
+    /// The smallest system size the committee tree supports.
+    pub const MIN_N: usize = 8;
+
     /// Defaults matching `fba-core`-style deployments: committee size
     /// `⌈3·ln n⌉`, gstring of `4·log₂ n` bits.
     ///
     /// # Panics
     ///
-    /// Panics if `n < 8`.
+    /// Panics if `n <` [`AeConfig::MIN_N`].
     #[must_use]
     pub fn recommended(n: usize) -> Self {
-        assert!(n >= 8, "almost-everywhere phase needs n ≥ 8");
+        assert!(
+            n >= Self::MIN_N,
+            "almost-everywhere phase needs n ≥ {}",
+            Self::MIN_N
+        );
         AeConfig {
             n,
             committee_size: fba_samplers::default_quorum_size(n, 3.0),

@@ -27,7 +27,6 @@ use std::process::ExitCode;
 use fba_bench::{
     crashes_bench, engine_bench, parallelism, run_experiment, service_bench, sweep, Scope, ALL_IDS,
 };
-use fba_exec::{BackendSpec, BACKEND_EXPECTED};
 use fba_recovery::{CrashSpec, CRASH_EXPECTED};
 use fba_scenario::{Baseline, Phase, Scenario, ScenarioOutcome};
 use fba_sim::{AdversarySpec, NetworkSpec};
@@ -35,13 +34,11 @@ use fba_sim::{AdversarySpec, NetworkSpec};
 fn usage() {
     eprintln!(
         "usage: paperbench [--quick|--full|--huge|--scope <quick|default|full|huge|extreme>] \
-         [--json <dir>] [--backend <{BACKEND_EXPECTED}>] [--n <sizes>] <experiment id>... | \
+         [--json <dir>] [--n <sizes>] <experiment id>... | \
          all | bench-engine | service | crashes <flags> | scenario <flags> | sweep <flags>"
     );
     eprintln!("known ids: {}", ALL_IDS.join(", "));
-    eprintln!("--backend applies to bench-engine (default `sim`; `threads[:k]` runs");
-    eprintln!("  each benchmark on the node-parallel executor instead of fanning");
-    eprintln!("  whole runs across cores); --n overrides its regime sizes");
+    eprintln!("--n overrides bench-engine's regime sizes");
     eprintln!("scenario flags: see `paperbench scenario --help`");
     eprintln!("sweep flags:    see `paperbench sweep --help`");
     eprintln!("service:        sustained-service battery (`service --help`)");
@@ -614,13 +611,13 @@ fn run_crashes_bench(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn run_engine_bench(scope: Scope, backend: BackendSpec, sizes: Option<Vec<usize>>) -> ExitCode {
+fn run_engine_bench(scope: Scope, sizes: Option<Vec<usize>>) -> ExitCode {
     let sizes = sizes.unwrap_or_else(|| engine_bench::bench_sizes(scope));
     println!(
-        "bench-engine: n = {sizes:?}, backend {backend}, {} worker thread(s)…",
+        "bench-engine: n = {sizes:?}, {} worker thread(s)…",
         parallelism()
     );
-    let mut report = engine_bench::run_sized(scope, backend, sizes);
+    let mut report = engine_bench::run_sized(scope, sizes);
     println!(
         "bench-engine: service battery, n = {:?}…",
         service_bench::service_sizes(scope)
@@ -668,7 +665,6 @@ fn main() -> ExitCode {
     let mut scope = Scope::Default;
     let mut ids: Vec<String> = Vec::new();
     let mut bench_engine = false;
-    let mut backend = BackendSpec::Sim;
     let mut sizes: Option<Vec<usize>> = None;
     let mut json_dir: Option<String> = None;
     let mut iter = args.iter();
@@ -693,15 +689,6 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 };
                 json_dir = Some(dir.clone());
-            }
-            "--backend" => {
-                let spec = iter.next().and_then(|v| v.parse::<BackendSpec>().ok());
-                let Some(spec) = spec else {
-                    eprintln!("error: --backend needs {BACKEND_EXPECTED}");
-                    usage();
-                    return ExitCode::FAILURE;
-                };
-                backend = spec;
             }
             "--n" => {
                 let parsed = iter.next().map(|v| {
@@ -732,7 +719,7 @@ fn main() -> ExitCode {
         }
     }
     if bench_engine {
-        let code = run_engine_bench(scope, backend, sizes);
+        let code = run_engine_bench(scope, sizes);
         if ids.is_empty() || code == ExitCode::FAILURE {
             return code;
         }

@@ -18,14 +18,21 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Number of worker threads a sweep should use. Delegates to
-/// [`fba_exec::default_parallelism`] — **the** one thread-count policy
-/// (`FBA_THREADS` if set, else available parallelism; an explicit
-/// `BackendSpec` shard count outranks both) — so sweep fan-out and the
-/// threaded execution backend always agree on what `FBA_THREADS` means.
+/// Number of worker threads a sweep should use: `FBA_THREADS` if set and
+/// parseable, else the machine's available parallelism, never less
+/// than 1. This is the workspace's one thread-count policy — fanning
+/// independent runs across cores is the only parallelism it has.
 #[must_use]
 pub fn parallelism() -> usize {
-    fba_exec::default_parallelism()
+    std::env::var("FBA_THREADS")
+        .ok()
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
+        })
+        .max(1)
 }
 
 /// Maps `f` over `items`, fanning across [`parallelism`] threads, and

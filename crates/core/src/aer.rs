@@ -502,8 +502,8 @@ impl AerHarness {
 
     /// Builds the state machine for node `id`, wired to the given shared
     /// run state. The factory behind every run entry point; public so
-    /// execution backends (`fba-exec`) can build nodes against their own
-    /// state bundles — e.g. one per worker shard in the threaded backend.
+    /// callers that drive `fba_sim::run_session` themselves (e.g. with
+    /// wrapped nodes) build exactly the nodes the harness would.
     #[must_use]
     pub fn node_with(&self, id: NodeId, state: &AerRunState) -> AerNode {
         let node = AerNode::with_state(
@@ -614,30 +614,6 @@ impl AerHarness {
             |id| self.node_with(id, state),
             observer,
             session,
-        )
-    }
-
-    /// Runs one complete execution and hands every surviving node's final
-    /// state to `inspect` — used by the Lemma 4 experiments to read
-    /// candidate-list sizes.
-    pub fn run_inspect<A, I>(
-        &self,
-        engine: &EngineConfig,
-        seed: u64,
-        adversary: &mut A,
-        inspect: I,
-    ) -> RunOutcome<GString, AerMsg>
-    where
-        A: Adversary<AerMsg> + ?Sized,
-        I: FnMut(fba_sim::NodeId, &AerNode),
-    {
-        let state = self.run_state();
-        fba_sim::run_inspect::<AerNode, A, _, I>(
-            engine,
-            seed,
-            adversary,
-            |id| self.node_with(id, &state),
-            inspect,
         )
     }
 }

@@ -66,16 +66,21 @@ pub struct AerConfig {
 }
 
 impl AerConfig {
+    /// The smallest system size AER supports: below it the samplers and
+    /// quorums degenerate.
+    pub const MIN_N: usize = 8;
+
     /// The defaults used throughout the reproduction for system size `n`:
     /// `t = ⌊0.15·n⌋`, `ε = 1/12`, `d = ⌈3·ln n⌉`, `|s| = 4·log₂ n`,
     /// `cap = ⌈log₂ n⌉²`, `|R| = n²`.
     ///
     /// # Panics
     ///
-    /// Panics if `n < 8` (the protocol is degenerate below that).
+    /// Panics if `n <` [`AerConfig::MIN_N`] (the protocol is degenerate
+    /// below that).
     #[must_use]
     pub fn recommended(n: usize) -> Self {
-        assert!(n >= 8, "AER needs n ≥ 8, got {n}");
+        assert!(n >= Self::MIN_N, "AER needs n ≥ {}, got {n}", Self::MIN_N);
         let cfg = AerConfig {
             n,
             t: (n as f64 * 0.15) as usize,
@@ -158,7 +163,7 @@ impl AerConfig {
     ///
     /// Returns the first violated constraint.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.n < 8 {
+        if self.n < Self::MIN_N {
             return Err(ConfigError::SystemTooSmall { n: self.n });
         }
         if self.epsilon <= 0.0 || self.epsilon.is_nan() {

@@ -3,12 +3,13 @@
 //! Scoping happens at two grains:
 //!
 //! * **crate filters** — e.g. D1 binds only the deterministic crates
-//!   (protocol, samplers, simulator, executors), while D3 binds everything
+//!   (protocol, samplers, simulator, scenario layer), while D3 binds everything
 //!   *except* fba-bench, which is the workspace's timing code;
 //! * **sanctioned paths** — per-rule path prefixes where the rule's
 //!   subject is the point: `fba_sim::fxhash` implements the sanctioned
 //!   hasher (D1), `fba_sim::rng` the sanctioned seed splits (D4),
-//!   `resolve_shards`/`FBA_BATCH` the sanctioned env reads (D6).
+//!   `fba_bench::par` the sanctioned parallelism (D2) and, with
+//!   `FBA_BATCH`, the sanctioned env reads (D6).
 //!
 //! Everything else goes through an explicit, greppable waiver comment
 //! (`// paperlint: allow(D2) <reason>`) on the preceding line — see
@@ -50,16 +51,15 @@ pub struct Config {
 }
 
 /// The crates whose executions must be pure functions of the seed: the
-/// protocol phases, samplers, simulator, execution backends, baselines and
-/// the scenario layer (plus the facade, which only re-exports them).
-const DETERMINISTIC_CRATES: [&str; 9] = [
+/// protocol phases, samplers, simulator, baselines, recovery and the
+/// scenario layer (plus the facade, which only re-exports them).
+const DETERMINISTIC_CRATES: [&str; 8] = [
     "fba-core",
     "fba-samplers",
     "fba-sim",
     "fba-ae",
     "fba-baselines",
     "fba-scenario",
-    "fba-exec",
     "fba-recovery",
     "fba",
 ];
@@ -76,9 +76,8 @@ impl Default for Config {
             RuleScope {
                 rule: RuleId::D2,
                 crates: CrateFilter::All,
-                // The two sanctioned parallel executors: the threaded
-                // backend and the sweep fan-out.
-                sanctioned: vec!["crates/exec/src/", "crates/bench/src/par.rs"],
+                // The one sanctioned parallel executor: the sweep fan-out.
+                sanctioned: vec!["crates/bench/src/par.rs"],
             },
             RuleScope {
                 rule: RuleId::D3,
@@ -100,10 +99,10 @@ impl Default for Config {
             RuleScope {
                 rule: RuleId::D6,
                 crates: CrateFilter::All,
-                // resolve_shards (FBA_THREADS) and EngineConfig::batch
-                // (FBA_BATCH); UPDATE_GOLDEN lives in a test target, which
-                // the walker does not lint.
-                sanctioned: vec!["crates/exec/src/spec.rs", "crates/sim/src/engine.rs"],
+                // fba_bench::par::parallelism (FBA_THREADS) and
+                // EngineConfig::batch (FBA_BATCH); UPDATE_GOLDEN lives in a
+                // test target, which the walker does not lint.
+                sanctioned: vec!["crates/bench/src/par.rs", "crates/sim/src/engine.rs"],
             },
             RuleScope {
                 rule: RuleId::D7,
@@ -182,7 +181,7 @@ mod tests {
     fn d1_binds_deterministic_crates_but_not_bench() {
         let c = Config::default();
         assert!(c.applies(RuleId::D1, "crates/core/src/push.rs"));
-        assert!(c.applies(RuleId::D1, "crates/exec/src/threaded.rs"));
+        assert!(c.applies(RuleId::D1, "crates/recovery/src/checkpoint.rs"));
         assert!(!c.applies(RuleId::D1, "crates/bench/src/battery.rs"));
         assert!(
             !c.applies(RuleId::D1, "crates/sim/src/fxhash.rs"),
@@ -198,10 +197,10 @@ mod tests {
     }
 
     #[test]
-    fn d2_sanctions_the_two_executors() {
+    fn d2_sanctions_only_the_sweep_fan_out() {
         let c = Config::default();
-        assert!(!c.applies(RuleId::D2, "crates/exec/src/threaded.rs"));
         assert!(!c.applies(RuleId::D2, "crates/bench/src/par.rs"));
+        assert!(c.applies(RuleId::D2, "crates/sim/src/engine.rs"));
         assert!(c.applies(RuleId::D2, "crates/bench/src/battery.rs"));
         assert!(c.applies(RuleId::D2, "crates/scenario/src/lib.rs"));
     }

@@ -56,9 +56,9 @@ fn d2_ad_hoc_parallelism() {
     let path = "crates/samplers/src/fixture.rs";
     assert_catches(RuleId::D2, path, include_str!("../fixtures/d2_bad.rs"));
     assert_clean(path, include_str!("../fixtures/d2_clean.rs"));
-    // …and the identical code is sanctioned inside the executors.
+    // …and the identical code is sanctioned inside the sweep fan-out.
     assert_clean(
-        "crates/exec/src/fixture.rs",
+        "crates/bench/src/par.rs",
         include_str!("../fixtures/d2_bad.rs"),
     );
 }

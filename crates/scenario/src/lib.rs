@@ -55,7 +55,6 @@ use fba_core::adversary::{AerAdversary, AttackContext, CornerReport};
 use fba_core::{
     run_ba, AerConfig, AerHarness, AerMsg, AerNode, AerRunState, BaConfig, BaReport, ConfigError,
 };
-use fba_exec::{BackendSpec, NodeBuilder, ThreadedBackend};
 use fba_recovery::{rejoin_report, CrashSpec, RecoveryConfig, RejoinReport};
 use fba_samplers::GString;
 use fba_sim::rng::{derive_rng, instance_seed};
@@ -267,15 +266,32 @@ pub enum ScenarioError {
         /// The phase that cannot field it.
         phase: &'static str,
     },
-    /// The system size exceeds the supported simulation bound
-    /// ([`Scenario::MAX_N`]) — a full AER run at that scale would queue
-    /// tens of gigabytes of messages per step and die by OOM rather than
-    /// by a clear error.
+    /// The system size is outside the supported range: below the
+    /// phase's floor (its samplers and quorums degenerate — 8 nodes for
+    /// every phase but the binary baselines, which have none), or past
+    /// the simulation bound ([`Scenario::MAX_N`]), where a full AER run
+    /// would queue tens of gigabytes of messages per step and die by OOM
+    /// rather than by a clear error.
     UnsupportedScale {
         /// The requested system size.
         n: usize,
+        /// The smallest system size the phase supports.
+        min: usize,
         /// The largest supported system size.
         max: usize,
+    },
+    /// A precondition's knowledge fraction is not a number in `[0, 1]`.
+    KnowingOutOfRange {
+        /// The offending fraction.
+        knowing: f64,
+    },
+    /// A [`Scenario::inputs`] override for a binary baseline does not
+    /// hold exactly one input per node.
+    InputsLengthMismatch {
+        /// Inputs supplied.
+        got: usize,
+        /// The system size.
+        n: usize,
     },
     /// Service mode (chained agreement instances) was requested for a
     /// phase other than AER — the persistent run state it threads across
@@ -287,16 +303,6 @@ pub enum ScenarioError {
     /// The service spec is inconsistent (zero instances, or an
     /// arrivals/value-seeds override of the wrong length or ordering).
     ServiceSpecInvalid {
-        /// What was wrong.
-        reason: String,
-    },
-    /// The execution-backend spec cannot drive this scenario: a zero
-    /// shard count, a shard count past the machine's available
-    /// parallelism, or the threaded backend on a phase only the sim
-    /// engine runs.
-    InvalidBackend {
-        /// The offending backend spec.
-        spec: BackendSpec,
         /// What was wrong.
         reason: String,
     },
@@ -329,12 +335,23 @@ impl fmt::Display for ScenarioError {
                 "adversary `{spec}` is AER-specific and cannot attack the {phase} phase \
                  (use `none` or `silent[:t]`)"
             ),
-            ScenarioError::UnsupportedScale { n, max } => write!(
+            ScenarioError::UnsupportedScale { n, min, .. } if n < min => write!(
+                f,
+                "n = {n} is below this phase's floor of {min} nodes: its samplers and \
+                 quorums degenerate below it"
+            ),
+            ScenarioError::UnsupportedScale { n, max, .. } => write!(
                 f,
                 "n = {n} exceeds the supported system-size bound of {max}: a full AER run \
                  queues Θ(n·d³) messages per step (tens of gigabytes past the bound); \
                  benchmark large sizes with `bench-engine --scope extreme` regimes instead"
             ),
+            ScenarioError::KnowingOutOfRange { knowing } => {
+                write!(f, "knowing fraction {knowing} is outside [0, 1]")
+            }
+            ScenarioError::InputsLengthMismatch { got, n } => {
+                write!(f, "the inputs override holds {got} inputs for {n} nodes")
+            }
             ScenarioError::UnsupportedService { phase } => write!(
                 f,
                 "service mode (chained instances) only drives the AER phase, not {phase}; \
@@ -342,9 +359,6 @@ impl fmt::Display for ScenarioError {
             ),
             ScenarioError::ServiceSpecInvalid { reason } => {
                 write!(f, "invalid service spec: {reason}")
-            }
-            ScenarioError::InvalidBackend { spec, reason } => {
-                write!(f, "invalid backend `{spec}`: {reason}")
             }
             ScenarioError::CrashSpecInvalid { reason } => {
                 write!(f, "invalid crash spec: {reason}")
@@ -368,39 +382,6 @@ impl std::error::Error for ScenarioError {}
 impl From<ConfigError> for ScenarioError {
     fn from(e: ConfigError) -> Self {
         ScenarioError::Config(e)
-    }
-}
-
-/// The AER protocol as an execution-backend [`NodeBuilder`]: each
-/// executor (the sim's single one, or one per threaded shard) gets its
-/// own fresh [`AerRunState`] bundle — the arenas hold `Rc` internally and
-/// never cross threads — and reports its sampler-cache hit/miss counters
-/// as `[push, pull, poll]` at the end of the run.
-struct AerBuilder<'h> {
-    harness: &'h AerHarness,
-}
-
-impl NodeBuilder for AerBuilder<'_> {
-    type Node = AerNode;
-    type Local = AerRunState;
-    type Report = [(u64, u64); 3];
-
-    fn local(&self) -> AerRunState {
-        let state = self.harness.run_state();
-        state.begin_instance();
-        state
-    }
-
-    fn node(&self, local: &AerRunState, id: NodeId) -> AerNode {
-        self.harness.node_with(id, local)
-    }
-
-    fn report(&self, local: AerRunState) -> [(u64, u64); 3] {
-        [
-            local.push_cache_stats(),
-            local.pull_cache_stats(),
-            local.poll_cache_stats(),
-        ]
     }
 }
 
@@ -436,7 +417,6 @@ pub struct Scenario {
     service: Option<(usize, Step)>,
     service_arrivals: Option<Vec<Step>>,
     service_value_seeds: Option<Vec<u64>>,
-    backend: BackendSpec,
 }
 
 impl Scenario {
@@ -479,7 +459,6 @@ impl Scenario {
             service: None,
             service_arrivals: None,
             service_value_seeds: None,
-            backend: BackendSpec::Sim,
         }
     }
 
@@ -502,10 +481,9 @@ impl Scenario {
     /// dark for the window (deliveries to and from them are dropped,
     /// callbacks suspended) and restart at window end from their last
     /// checkpoint, then state-sync by re-polling their checkpointed
-    /// candidates against fresh peer samples. Only the AER phase on the
-    /// sim backend executes crash plans. An empty spec is the no-fault
-    /// baseline, bit-identical to never calling this (pinned by the
-    /// equivalence suite).
+    /// candidates against fresh peer samples. Only the AER phase executes
+    /// crash plans. An empty spec is the no-fault baseline, bit-identical
+    /// to never calling this (pinned by the equivalence suite).
     #[must_use]
     pub fn faults_spec(mut self, spec: CrashSpec) -> Self {
         self.faults_spec = Some(spec);
@@ -613,23 +591,6 @@ impl Scenario {
     #[must_use]
     pub fn batching(mut self, batch: bool) -> Self {
         self.batching = Some(batch);
-        self
-    }
-
-    /// Selects the execution backend for the AER-phase engine (see
-    /// `fba_exec`): [`BackendSpec::Sim`] (the default) is the
-    /// deterministic calendar engine, bit-identical to every pinned
-    /// transcript; [`BackendSpec::Threaded`] shards the nodes across
-    /// worker threads with a barrier per simulated step. Threaded runs
-    /// are deterministic given `(seed, shard count)` and match sim on
-    /// outcome-level invariants, but per-shard state bundles mean
-    /// transcript-level pins hold on `sim` only — and in service mode
-    /// the sampler caches do not persist across instances (each
-    /// instance builds fresh per-shard bundles; outcomes are unchanged,
-    /// cache-hit counters are not).
-    #[must_use]
-    pub fn backend(mut self, backend: BackendSpec) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -750,31 +711,78 @@ impl Scenario {
         (self.n as f64 * 0.15) as usize
     }
 
-    /// Rejects system sizes past [`Scenario::MAX_N`] before any phase
-    /// allocates run state.
+    /// The smallest system size the scenario's phase supports: the AER
+    /// and almost-everywhere configs (and the diffusion baselines, which
+    /// borrow AER's string length) assert a floor; the binary baselines
+    /// run at any size.
+    fn min_n(&self) -> usize {
+        match self.phase {
+            Phase::Aer { .. } | Phase::Baseline(Baseline::Klst { .. } | Baseline::Flood { .. }) => {
+                AerConfig::MIN_N
+            }
+            Phase::Ae => AeConfig::MIN_N,
+            Phase::Composed => AerConfig::MIN_N.max(AeConfig::MIN_N),
+            Phase::Baseline(Baseline::BenOr { .. } | Baseline::PhaseKing) => 0,
+        }
+    }
+
+    /// Rejects system sizes outside `[min_n, MAX_N]` before any phase
+    /// derives a config or allocates run state.
     fn check_scale(&self) -> Result<(), ScenarioError> {
-        if self.n > Self::MAX_N {
+        let min = self.min_n();
+        if self.n < min || self.n > Self::MAX_N {
             return Err(ScenarioError::UnsupportedScale {
                 n: self.n,
+                min,
                 max: Self::MAX_N,
             });
         }
         Ok(())
     }
 
-    /// Checks the scenario without executing it: config derivation,
-    /// fault-schedule budget coherence, and phase/adversary
-    /// compatibility — exactly the rejections [`Scenario::run`] would
-    /// raise before simulating, for every phase. Sweep drivers
-    /// pre-flight every cell with this so an invalid cell fails fast
-    /// instead of deep inside a parallel fan-out.
+    /// Rejects malformed per-phase inputs: a knowledge fraction outside
+    /// `[0, 1]` (or NaN) on the phases that synthesise a precondition,
+    /// and an [`Scenario::inputs`] override of the wrong length on the
+    /// binary baselines.
+    fn check_phase_inputs(&self) -> Result<(), ScenarioError> {
+        match self.phase {
+            Phase::Aer { precondition }
+            | Phase::Baseline(Baseline::Klst { precondition } | Baseline::Flood { precondition })
+                if !(0.0..=1.0).contains(&precondition.knowing) =>
+            {
+                Err(ScenarioError::KnowingOutOfRange {
+                    knowing: precondition.knowing,
+                })
+            }
+            Phase::Baseline(Baseline::BenOr { .. } | Baseline::PhaseKing) => match &self.inputs {
+                Some(inputs) if inputs.len() != self.n => {
+                    Err(ScenarioError::InputsLengthMismatch {
+                        got: inputs.len(),
+                        n: self.n,
+                    })
+                }
+                _ => Ok(()),
+            },
+            _ => Ok(()),
+        }
+    }
+
+    /// Checks the scenario without executing it — the one validation
+    /// site: system size, per-phase inputs, crash schedule, config
+    /// derivation, fault-schedule budget coherence, and phase/adversary
+    /// compatibility. Every run entry point ([`Scenario::run`],
+    /// [`Scenario::run_observed`], [`Scenario::run_instance`],
+    /// [`Scenario::run_service`]) calls it first, so a scenario it
+    /// rejects fails identically everywhere and never panics. Sweep
+    /// drivers pre-flight every cell with it so an invalid cell fails
+    /// fast instead of deep inside a parallel fan-out.
     ///
     /// # Errors
     ///
     /// Returns the violated constraint.
     pub fn validate(&self) -> Result<(), ScenarioError> {
         self.check_scale()?;
-        self.validate_backend(true)?;
+        self.check_phase_inputs()?;
         self.validate_crash()?;
         let unsupported = |spec: &AdversarySpec, phase: &'static str| {
             if spec.is_generic() {
@@ -794,7 +802,7 @@ impl Scenario {
             Phase::Composed => {
                 // The composed run derives the AER config and schedule
                 // budgets too, and its AE phase only accepts generic
-                // adversaries (mirrors `run_composed`).
+                // adversaries.
                 let cfg = self.aer_config()?;
                 self.validate_schedule_budgets(self.faults.unwrap_or(cfg.t))?;
                 unsupported(&self.ae_adversary, "almost-everywhere")
@@ -804,58 +812,10 @@ impl Scenario {
         }
     }
 
-    /// Rejects backend specs this scenario cannot execute. The phase
-    /// check applies always (a threaded spec on a non-AER phase would be
-    /// silently ignored otherwise); the shard-count bounds only at
-    /// `validate()` time (`strict`) — the run paths *clamp* an
-    /// out-of-range count to `[1, n]` instead of erroring, so a
-    /// `threads` spec resolved on a bigger machine still runs here.
-    fn validate_backend(&self, strict: bool) -> Result<(), ScenarioError> {
-        let BackendSpec::Threaded { shards } = self.backend else {
-            return Ok(());
-        };
-        let invalid = |reason: String| ScenarioError::InvalidBackend {
-            spec: self.backend,
-            reason,
-        };
-        if !matches!(self.phase, Phase::Aer { .. }) {
-            return Err(invalid(format!(
-                "the threaded backend only drives the AER phase, not {}; \
-                 use `sim` or set `.phase(Phase::aer(..))`",
-                self.phase.phase_name()
-            )));
-        }
-        if !strict {
-            return Ok(());
-        }
-        match shards {
-            Some(0) => Err(invalid(
-                "a threaded run needs at least one worker shard (threads:k with k ≥ 1)".into(),
-            )),
-            Some(k) => {
-                // paperlint: allow(D2) read-only core-count query for validation; no threads spawned
-                let available = std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1);
-                if k > available {
-                    Err(invalid(format!(
-                        "threads:{k} exceeds this machine's available parallelism ({available}); \
-                         oversubscribing shards only adds barrier overhead"
-                    )))
-                } else {
-                    Ok(())
-                }
-            }
-            None => Ok(()),
-        }
-    }
-
     /// Rejects crash–restart schedules this scenario cannot execute: a
-    /// window that crashes more nodes than the system has, a non-AER
-    /// phase (only the AER engine runs crash plans), or the threaded
-    /// backend (dark windows and checkpoint restarts are sim-engine
-    /// features). An unset or empty spec always passes — it is the
-    /// no-fault baseline.
+    /// window that crashes more nodes than the system has, or a non-AER
+    /// phase (only the AER engine runs crash plans). An unset or empty
+    /// spec always passes — it is the no-fault baseline.
     fn validate_crash(&self) -> Result<(), ScenarioError> {
         let Some(spec) = self.faults_spec.as_ref().filter(|s| !s.is_empty()) else {
             return Ok(());
@@ -867,15 +827,6 @@ impl Scenario {
                      drop `.faults_spec(..)` or set `.phase(Phase::aer(..))`",
                     self.phase.phase_name()
                 ),
-            });
-        }
-        if matches!(self.backend, BackendSpec::Threaded { .. }) {
-            return Err(ScenarioError::InvalidBackend {
-                spec: self.backend,
-                reason: "the threaded backend cannot execute crash–restart schedules \
-                         (dark windows and checkpoint restarts are sim-engine features); \
-                         use `sim`"
-                    .into(),
             });
         }
         for window in spec.windows() {
@@ -895,8 +846,7 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Returns [`ScenarioError`] when the knob combination derives an
-    /// invalid config or the adversary cannot attack the phase.
+    /// Returns the [`ScenarioError`] [`Scenario::validate`] raises.
     pub fn run(&self, seed: u64) -> Result<ScenarioOutcome, ScenarioError> {
         self.run_observed(seed, &mut NullObserver)
     }
@@ -908,25 +858,17 @@ impl Scenario {
     /// adversary mid-flight; their outcomes carry everything the
     /// experiments read.
     ///
-    /// The observer must be `Send` because the threaded backend drives
-    /// its per-node hooks from worker threads (under a mutex, in node
-    /// order — the hook sequence is identical to the sim backend's).
-    ///
     /// # Errors
     ///
     /// Same conditions as [`Scenario::run`].
     pub fn run_observed(
         &self,
         seed: u64,
-        observer: &mut (dyn Observer<AerNode> + Send),
+        observer: &mut dyn Observer<AerNode>,
     ) -> Result<ScenarioOutcome, ScenarioError> {
-        self.check_scale()?;
-        self.validate_backend(false)?;
-        self.validate_crash()?;
+        self.validate()?;
         match self.phase {
-            Phase::Aer { precondition } => self
-                .run_aer(precondition, seed, observer)
-                .map(ScenarioOutcome::Aer),
+            Phase::Aer { .. } => Ok(ScenarioOutcome::Aer(self.run_aer(seed, observer))),
             Phase::Ae => self.run_ae(seed).map(ScenarioOutcome::Ae),
             Phase::Composed => self.run_composed(seed).map(ScenarioOutcome::Composed),
             Phase::Baseline(baseline) => self
@@ -990,29 +932,17 @@ impl Scenario {
         AerAdversary::from_spec(&self.adversary, ctx, bad)
     }
 
-    fn run_aer(
-        &self,
-        precondition: PreconditionSpec,
-        seed: u64,
-        observer: &mut (dyn Observer<AerNode> + Send),
-    ) -> Result<AerRun, ScenarioError> {
-        let cfg = self.aer_config()?;
-        self.validate_schedule_budgets(self.faults.unwrap_or(cfg.t))?;
-        let mut session = EngineSession::new(self.network.max_delay().max(1));
-        Ok(self
-            .run_aer_instance(
-                cfg,
-                precondition,
-                seed,
-                seed,
-                observer,
-                &mut None,
-                &mut session,
-            )
-            .0)
+    /// A fresh engine scratch session sized for this scenario's network.
+    fn session(&self) -> EngineSession<AerMsg> {
+        EngineSession::new(self.network.max_delay().max(1))
     }
 
-    /// One agreement instance over (possibly pre-existing) shared state.
+    fn run_aer(&self, seed: u64, observer: &mut dyn Observer<AerNode>) -> AerRun {
+        self.run_aer_instance(seed, seed, observer, &mut None, &mut self.session())
+    }
+
+    /// One agreement instance of a validated [`Phase::Aer`] scenario over
+    /// (possibly pre-existing) shared state.
     ///
     /// `seed` drives the precondition, the protocol RNG streams, and the
     /// adversary's *strategy* state; `adversary_seed` independently pins
@@ -1021,27 +951,20 @@ impl Scenario {
     /// cross-instance AER arena: `None` means "fresh harness state" and
     /// is filled in, so chained callers thread one `Option` through every
     /// instance. `session` is the reusable engine scratch.
-    ///
-    /// Dispatches on [`Scenario::backend`]: the sim arm is the
-    /// pre-backend code path verbatim (pinned bit-identical by the
-    /// golden digests in `scenario_equivalence`); the threaded arm runs
-    /// the same engine semantics on worker shards, each with its own
-    /// fresh state bundle (`state` is neither read nor filled — arena
-    /// persistence is a sim-backend property). The second return is
-    /// `Some(summed shard cache stats as [push, pull, poll])` for
-    /// threaded runs, `None` for sim (read the persistent state
-    /// instead).
-    #[allow(clippy::too_many_arguments)]
     fn run_aer_instance(
         &self,
-        cfg: AerConfig,
-        precondition: PreconditionSpec,
         seed: u64,
         adversary_seed: u64,
-        observer: &mut (dyn Observer<AerNode> + Send),
+        observer: &mut dyn Observer<AerNode>,
         state: &mut Option<AerRunState>,
         session: &mut EngineSession<AerMsg>,
-    ) -> (AerRun, Option<[(u64, u64); 3]>) {
+    ) -> AerRun {
+        let Phase::Aer { precondition } = self.phase else {
+            unreachable!("only validated AER-phase scenarios run AER instances")
+        };
+        let cfg = self
+            .aer_config()
+            .expect("validate() derived this config before dispatch");
         let pre = Precondition::synthetic(
             self.n,
             cfg.string_len,
@@ -1083,48 +1006,35 @@ impl Scenario {
             harness.enable_recovery(RecoveryConfig::default());
         }
         let mut adversary = self.aer_adversary_for(&harness, &pre.gstring, seed);
-        let (run, cache_stats) = match self.backend {
-            BackendSpec::Sim => {
-                let shared = state.get_or_insert_with(|| harness.run_state());
-                let run = harness.run_in_session(
-                    &engine,
-                    seed,
-                    adversary_seed,
-                    &mut adversary,
-                    observer,
-                    shared,
-                    session,
-                );
-                (run, None)
-            }
-            BackendSpec::Threaded { shards } => {
-                let builder = AerBuilder { harness: &harness };
-                let (run, reports) = ThreadedBackend::new(shards).run_reporting(
-                    &engine,
-                    seed,
-                    adversary_seed,
-                    &mut adversary,
-                    &builder,
-                    observer,
-                );
-                let mut summed = [(0u64, 0u64); 3];
-                for report in reports {
-                    for (acc, (hits, misses)) in summed.iter_mut().zip(report) {
-                        acc.0 += hits;
-                        acc.1 += misses;
-                    }
-                }
-                (run, Some(summed))
-            }
-        };
-        let run = AerRun {
+        let shared = state.get_or_insert_with(|| harness.run_state());
+        let run = harness.run_in_session(
+            &engine,
+            seed,
+            adversary_seed,
+            &mut adversary,
+            observer,
+            shared,
+            session,
+        );
+        AerRun {
             corner: adversary.corner_report().cloned(),
             run,
             precondition: pre,
             config: cfg,
             engine,
-        };
-        (run, cache_stats)
+        }
+    }
+
+    /// Rejects non-AER phases for the single-instance and service entry
+    /// points, which only drive the AER engine.
+    fn require_aer(&self) -> Result<(), ScenarioError> {
+        if matches!(self.phase, Phase::Aer { .. }) {
+            Ok(())
+        } else {
+            Err(ScenarioError::UnsupportedService {
+                phase: self.phase.phase_name(),
+            })
+        }
     }
 
     /// Executes one AER instance with the corrupt coalition drawn from
@@ -1136,30 +1046,18 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Returns [`ScenarioError::UnsupportedService`] for non-AER phases
-    /// and the usual config errors.
+    /// Returns the [`ScenarioError`] [`Scenario::validate`] raises, then
+    /// [`ScenarioError::UnsupportedService`] for non-AER phases.
     pub fn run_instance(&self, seed: u64, adversary_seed: u64) -> Result<AerRun, ScenarioError> {
-        self.check_scale()?;
-        self.validate_crash()?;
-        let Phase::Aer { precondition } = self.phase else {
-            return Err(ScenarioError::UnsupportedService {
-                phase: self.phase.phase_name(),
-            });
-        };
-        let cfg = self.aer_config()?;
-        self.validate_schedule_budgets(self.faults.unwrap_or(cfg.t))?;
-        let mut session = EngineSession::new(self.network.max_delay().max(1));
-        Ok(self
-            .run_aer_instance(
-                cfg,
-                precondition,
-                seed,
-                adversary_seed,
-                &mut NullObserver,
-                &mut None,
-                &mut session,
-            )
-            .0)
+        self.validate()?;
+        self.require_aer()?;
+        Ok(self.run_aer_instance(
+            seed,
+            adversary_seed,
+            &mut NullObserver,
+            &mut None,
+            &mut self.session(),
+        ))
     }
 
     /// Checks the service spec against the scenario and resolves the
@@ -1228,19 +1126,11 @@ impl Scenario {
     /// [`ScenarioError::ServiceSpecInvalid`] for inconsistent service
     /// specs, and the usual config errors.
     pub fn run_service(&self, seed: u64) -> Result<ServiceRun, ScenarioError> {
-        self.check_scale()?;
-        self.validate_crash()?;
-        let Phase::Aer { precondition } = self.phase else {
-            return Err(ScenarioError::UnsupportedService {
-                phase: self.phase.phase_name(),
-            });
-        };
-        let cfg = self.aer_config()?;
-        self.validate_schedule_budgets(self.faults.unwrap_or(cfg.t))?;
+        self.validate()?;
+        self.require_aer()?;
         let schedule = self.service_schedule(seed)?;
-        let mut session = EngineSession::new(self.network.max_delay().max(1));
+        let mut session = self.session();
         let mut state: Option<AerRunState> = None;
-        let mut threaded_stats: Option<[(u64, u64); 3]> = None;
         let mut totals = MetricsTotals::new();
         let mut instances = Vec::with_capacity(schedule.len());
         let mut clock: Step = 0;
@@ -1250,22 +1140,8 @@ impl Scenario {
             } else {
                 arrived_at.max(clock + 1)
             };
-            let (run, stats) = self.run_aer_instance(
-                cfg,
-                precondition,
-                inst_seed,
-                seed,
-                &mut NullObserver,
-                &mut state,
-                &mut session,
-            );
-            if let Some(stats) = stats {
-                let acc = threaded_stats.get_or_insert([(0, 0); 3]);
-                for (acc, (hits, misses)) in acc.iter_mut().zip(stats) {
-                    acc.0 += hits;
-                    acc.1 += misses;
-                }
-            }
+            let run =
+                self.run_aer_instance(inst_seed, seed, &mut NullObserver, &mut state, &mut session);
             totals.absorb(&run.run.metrics);
             let finished_at = started_at + run.run.metrics.steps;
             clock = finished_at;
@@ -1277,28 +1153,15 @@ impl Scenario {
                 run,
             });
         }
-        // Sim backend: the persistent arena carries the whole run's cache
-        // stats. Threaded backend: the arenas are per-shard and
-        // per-instance (no cross-instance persistence), so the stats are
-        // the sums reported by the shards.
-        let [push, pull, poll] = match threaded_stats {
-            Some(summed) => summed,
-            None => {
-                let state = state.expect("at least one instance ran");
-                [
-                    state.push_cache_stats(),
-                    state.pull_cache_stats(),
-                    state.poll_cache_stats(),
-                ]
-            }
-        };
+        // The persistent arena carries the whole run's cache stats.
+        let state = state.expect("at least one instance ran");
         Ok(ServiceRun {
             instances,
             totals,
             total_steps: clock,
-            push_cache_stats: push,
-            pull_cache_stats: pull,
-            poll_cache_stats: poll,
+            push_cache_stats: state.push_cache_stats(),
+            pull_cache_stats: state.pull_cache_stats(),
+            poll_cache_stats: state.poll_cache_stats(),
         })
     }
 
@@ -1329,7 +1192,6 @@ impl Scenario {
         let mut config = BaConfig::recommended(self.n);
         config.aer = self.aer_config()?;
         config.ae.string_len = config.aer.string_len;
-        self.validate_schedule_budgets(self.faults.unwrap_or(config.aer.t))?;
         let mut ae_adversary = self
             .ae_adversary
             .generic(self.faults.unwrap_or(config.aer.t))
@@ -2070,68 +1932,6 @@ mod tests {
     }
 
     #[test]
-    fn backend_specs_are_validated() {
-        // A plain threaded spec (shard count deferred to the resolution
-        // chain) validates on the AER phase…
-        Scenario::new(64)
-            .backend(BackendSpec::Threaded { shards: None })
-            .validate()
-            .expect("default threaded spec validates");
-        // …but zero shards is rejected with a clear error…
-        let err = Scenario::new(64)
-            .backend(BackendSpec::Threaded { shards: Some(0) })
-            .validate()
-            .unwrap_err();
-        assert!(matches!(err, ScenarioError::InvalidBackend { .. }), "{err}");
-        assert!(err.to_string().contains("at least one"), "{err}");
-        // …as is a shard count past the machine's parallelism.
-        let available = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        let err = Scenario::new(64)
-            .backend(BackendSpec::Threaded {
-                shards: Some(available + 1),
-            })
-            .validate()
-            .unwrap_err();
-        assert!(matches!(err, ScenarioError::InvalidBackend { .. }), "{err}");
-        assert!(err.to_string().contains("available parallelism"), "{err}");
-        // The threaded backend only drives the AER phase — validate()
-        // and the run entry points both reject the combination.
-        let err = Scenario::new(64)
-            .phase(Phase::Composed)
-            .backend(BackendSpec::Threaded { shards: None })
-            .validate()
-            .unwrap_err();
-        assert!(matches!(err, ScenarioError::InvalidBackend { .. }), "{err}");
-        let err = Scenario::new(64)
-            .phase(Phase::Ae)
-            .backend(BackendSpec::Threaded { shards: None })
-            .run(1)
-            .unwrap_err();
-        assert!(matches!(err, ScenarioError::InvalidBackend { .. }), "{err}");
-    }
-
-    #[test]
-    fn oversized_shard_counts_clamp_at_run_time() {
-        // validate() is strict about shard counts, but the run paths
-        // clamp to [1, n] instead of erroring or panicking: a spec
-        // resolved for a bigger machine (or more shards than nodes)
-        // still executes, with one shard per node at most.
-        let run = Scenario::new(24)
-            .backend(BackendSpec::Threaded { shards: Some(64) })
-            .run(5)
-            .expect("oversized shard count clamps, not panics")
-            .into_aer();
-        assert_eq!(run.wrong_decisions(), 0);
-        assert_eq!(
-            run.run.metrics.decided_fraction(),
-            1.0,
-            "clamped run still decides everywhere"
-        );
-    }
-
-    #[test]
     fn mismatched_schedule_budgets_are_rejected() {
         // silent:3 next to a default-budget flood window would draw two
         // different coalitions (and corrupt more than the declared fault
@@ -2401,7 +2201,8 @@ mod tests {
             "{err}"
         );
         assert!(err.to_string().contains("only has 16"), "{err}");
-        // …a phase the crash engine does not drive…
+        // …and a phase the crash engine does not drive are rejected, by
+        // validate() and the run entry points alike.
         let err = Scenario::new(64)
             .phase(Phase::Ae)
             .faults_spec("crash:[2..5]4".parse().expect("parses"))
@@ -2411,14 +2212,6 @@ mod tests {
             matches!(err, ScenarioError::CrashSpecInvalid { .. }),
             "{err}"
         );
-        // …and the threaded backend are all rejected, by validate() and
-        // the run entry points alike.
-        let err = Scenario::new(64)
-            .backend(BackendSpec::Threaded { shards: None })
-            .faults_spec("crash:[2..5]4".parse().expect("parses"))
-            .run(1)
-            .unwrap_err();
-        assert!(matches!(err, ScenarioError::InvalidBackend { .. }), "{err}");
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::crash::CrashPlan;
 use crate::ids::{ceil_log2, NodeId, Step};
 use crate::message::{Batch, BatchBuffers, Delivery, Envelope, WireSize};
 use crate::metrics::Metrics;
-use crate::observer::{FinalInspect, NullObserver, Observer};
+use crate::observer::{NullObserver, Observer};
 use crate::protocol::{Context, Protocol};
 use crate::rng::{derive_rng, node_rng, TAG_ADVERSARY};
 
@@ -237,37 +237,6 @@ where
     F: FnMut(NodeId) -> P,
 {
     run_observed(cfg, master_seed, adversary, factory, &mut NullObserver)
-}
-
-/// Like [`run`], but additionally calls `inspect(id, &state)` for every
-/// surviving correct node once the run ends — the hook experiments use to
-/// read protocol-internal state (e.g. candidate-list sizes for the
-/// paper's Lemma 4). Equivalent to [`run_observed`] with a
-/// [`FinalInspect`] sink.
-///
-/// # Panics
-///
-/// Same conditions as [`run`].
-pub fn run_inspect<P, A, F, I>(
-    cfg: &EngineConfig,
-    master_seed: u64,
-    adversary: &mut A,
-    factory: F,
-    inspect: I,
-) -> RunOutcome<P::Output, P::Msg>
-where
-    P: Protocol,
-    A: Adversary<P::Msg> + ?Sized,
-    F: FnMut(NodeId) -> P,
-    I: FnMut(NodeId, &P),
-{
-    run_observed(
-        cfg,
-        master_seed,
-        adversary,
-        factory,
-        &mut FinalInspect(inspect),
-    )
 }
 
 /// Like [`run`], but drives a read-only [`Observer`] alongside the
@@ -670,13 +639,8 @@ where
 /// messages queued, the outbox becomes one (or, under `batch_limit`,
 /// several) [`Batch`] deliveries built on recycled buffers from `pool`;
 /// otherwise every message ships as its own envelope.
-///
-/// Public because it is the send half of the step contract every execution
-/// backend must honour: the threaded backend (`fba-exec`) enqueues worker
-/// outboxes through this exact function so framing, batch boundaries, and
-/// send accounting match the calendar engine bit for bit.
 #[allow(clippy::too_many_arguments)] // engine-internal plumbing of the step loop's scratch state
-pub fn enqueue_outbox<M: Clone + PartialEq + WireSize>(
+fn enqueue_outbox<M: Clone + PartialEq + WireSize>(
     from: NodeId,
     step: Step,
     batching: bool,
@@ -737,10 +701,7 @@ fn seal_batch<M: Clone + PartialEq + WireSize>(
 /// caller has cleared). Returns `Some(delay)` when every envelope got the
 /// same delay at priority 0 — the bulk-lane fast path — and `None` when
 /// the schedule is non-uniform and deliveries must be keyed individually.
-///
-/// Shared verbatim by [`run_session`] and the threaded backend so stateful
-/// scheduling adversaries see an identical call sequence on both.
-pub fn consult_schedule<M: Clone, A: Adversary<M> + ?Sized>(
+fn consult_schedule<M: Clone, A: Adversary<M> + ?Sized>(
     adversary: &mut A,
     max_delay: Step,
     flat: &[Envelope<M>],
@@ -764,8 +725,8 @@ pub fn consult_schedule<M: Clone, A: Adversary<M> + ?Sized>(
 /// moves the whole step's sends — batches included — into the ring slot;
 /// otherwise deliveries are keyed per envelope from `flat` and `sched_buf`
 /// (as filled by [`consult_schedule`]), recycling batch buffers into
-/// `pool`. The commit half of the step contract shared with `fba-exec`.
-pub fn commit_schedule<M: Clone>(
+/// `pool`.
+fn commit_schedule<M: Clone>(
     pending: &mut CalendarQueue<Delivery<M>>,
     step: Step,
     uniform: Option<Step>,
@@ -792,7 +753,7 @@ pub fn commit_schedule<M: Clone>(
 /// Rebuilds the per-envelope view of a step's sends, in logical send
 /// order — what rushing adversaries, schedulers, observers, and the
 /// transcript are shown regardless of batching.
-pub fn flatten_into<M: Clone>(sends: &[Delivery<M>], flat: &mut Vec<Envelope<M>>) {
+fn flatten_into<M: Clone>(sends: &[Delivery<M>], flat: &mut Vec<Envelope<M>>) {
     flat.clear();
     for delivery in sends {
         match delivery {
@@ -807,6 +768,7 @@ mod tests {
     use super::*;
     use crate::adversary::{NoAdversary, SilentAdversary};
     use crate::crash::CrashOutage;
+    use crate::observer::FinalInspect;
 
     /// Every node sends a ping to the next node at start; a node decides
     /// once it has received a ping. Purely for engine semantics tests.
@@ -1238,12 +1200,14 @@ mod tests {
         ])
         .unwrap();
         let mut crash_hooks = Vec::new();
-        let out = run_inspect::<Gossip, _, _, _>(
+        let out = run_observed::<Gossip, _, _, _>(
             &crash_cfg(n, plan),
             3,
             &mut NoAdversary,
             |id| Gossip::fresh(id, n),
-            |id, node| crash_hooks.push((id, node.crashes, node.restarts)),
+            &mut FinalInspect(|id, node: &Gossip| {
+                crash_hooks.push((id, node.crashes, node.restarts));
+            }),
         );
         // Node 0 is dark over steps 1-4: it misses every delivery, and
         // its own step-0 broadcast is dropped too (the sender is dark at

@@ -83,25 +83,13 @@
 //!   dark nodes are skipped in deterministic node order, and dropped
 //!   deliveries are counted in [`Metrics::msgs_dropped`] — a crashed run
 //!   is a pure function of `(config, plan, master seed)`.
-//! * **Execution backends** — the step loop's building blocks
-//!   ([`enqueue_outbox`], [`flatten_into`], [`consult_schedule`],
-//!   [`commit_schedule`]) are public so alternative executors can share
-//!   them. The `fba-exec` crate ships two: `SimBackend`, which *is*
-//!   [`run_session`] (bit-identical, the substrate for every correctness
-//!   pin), and `ThreadedBackend`, which shards nodes across worker
-//!   threads with a barrier per simulated step. The threaded backend
-//!   replays the same per-node RNG streams and the same cross-shard merge
-//!   order, but protocol state shared *between* nodes (the AER arenas) is
-//!   per-shard there, so only outcome-level invariants — not transcripts
-//!   or bit counts — are contractual across backends; see the `fba-exec`
-//!   crate docs.
 //!
 //! ### Static enforcement
 //!
 //! The pins above *sample* the contract per seed. Its preconditions —
 //! no randomized-hasher containers in deterministic crates, no wall
-//! clock or ad-hoc RNG construction, parallelism only behind the
-//! sanctioned executors, one audited `unsafe` site, no ambient
+//! clock or ad-hoc RNG construction, parallelism only in the sweep
+//! fan-out (`fba_bench::par`), one audited `unsafe` site, no ambient
 //! `env::var` reads — are *statically enforced* on every shipped line
 //! by the `paperlint` pass (crate `fba-lint`, rules D1–D7, run in CI
 //! next to clippy). The sanctioned sites live in this crate: [`fxhash`]
@@ -165,8 +153,7 @@ pub mod tuning;
 pub use adversary::{choose_corrupt, Adversary, NoAdversary, Outbox, SilentAdversary};
 pub use crash::{CrashOutage, CrashPlan, CrashPlanError};
 pub use engine::{
-    batch_env_default, commit_schedule, consult_schedule, enqueue_outbox, flatten_into, run,
-    run_inspect, run_observed, run_session, EngineConfig, EngineSession, RunOutcome,
+    batch_env_default, run, run_observed, run_session, EngineConfig, EngineSession, RunOutcome,
 };
 pub use ids::{all_nodes, ceil_log2, ln_at_least_one, NodeId, Step};
 pub use message::{Batch, BatchBuffers, Delivery, Envelope, WireSize};
